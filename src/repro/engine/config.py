@@ -290,11 +290,12 @@ SCALE_PRESETS: dict[str, SimulationConfig] = {
     ),
     # An order of magnitude past the paper's grids (ROADMAP item 1):
     # 10^3 repositories serving 10^6 modeled clients.  Router count is
-    # kept moderate because all-pairs routing is cubic in node count and
-    # orthogonal to the dissemination behaviour under study; the
-    # vectorized kernel is what makes this preset tractable (the scalar
-    # oracle still runs it, ~10x+ slower -- pinned in
-    # ``benchmarks/bench_scalability.py``).
+    # kept moderate because all-pairs routing is cubic in node count (the
+    # build runs only the distance recurrence: n in-place numpy passes
+    # over the n x n delay matrix) and orthogonal to the dissemination
+    # behaviour under study; the vectorized kernel is what makes this
+    # preset tractable (the scalar oracle still runs it, ~10x+ slower --
+    # pinned in ``benchmarks/bench_scalability.py``).
     "scalability": SimulationConfig(
         n_repositories=1_000,
         n_routers=250,

@@ -493,7 +493,8 @@ async def _run_worker(worker_id: int, spec: FleetSpec, conn) -> None:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # The shutdown cancel can also land on this close wait.
                 pass
 
     # ---- source replay (the source's owner only) ----

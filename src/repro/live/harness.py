@@ -611,7 +611,7 @@ class LiveAdaptiveController:
 
 def _client_node_base(setup: SimulationSetup) -> int:
     """First transport node id free for clients (above the topology)."""
-    return int(setup.network.routing.dist_ms.shape[0])
+    return setup.network.topology.n_nodes
 
 
 def build_live_network(

@@ -400,11 +400,17 @@ class TcpTransport:
                     dispatch(outs)
                     stats.delivered += 1
                     check_quiet()
+            except asyncio.CancelledError:
+                # Teardown cancels handlers that outlive the drain wait;
+                # ending normally keeps the streams done-callback from
+                # re-raising.
+                pass
             finally:
                 writer.close()
                 try:
                     await writer.wait_closed()
-                except (ConnectionError, OSError):
+                except (ConnectionError, OSError, asyncio.CancelledError):
+                    # The teardown cancel can also land on this close wait.
                     pass
 
         generations: dict[int, int] = {}

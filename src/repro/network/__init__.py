@@ -9,15 +9,15 @@ subpackage implements that substrate from scratch:
   (mean 15 ms, minimum 2 ms by default).
 - :mod:`repro.network.topology` -- random connected topologies with one
   source, N repositories and M routers.
-- :mod:`repro.network.routing` -- Floyd-Warshall shortest paths, hop
-  counts and next-hop routing tables.
+- :mod:`repro.network.routing` -- Floyd-Warshall minimal-delay tables,
+  plus on-demand hop counts along those paths.
 - :mod:`repro.network.model` -- the :class:`~repro.network.model.NetworkModel`
   facade the engine queries for end-to-end delays.
 """
 
 from repro.network.delays import ParetoDelayModel
 from repro.network.model import NetworkModel, build_network
-from repro.network.routing import RoutingTables, floyd_warshall
+from repro.network.routing import RoutingTables, floyd_warshall, hop_counts
 from repro.network.topology import Topology, generate_topology
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "build_network",
     "RoutingTables",
     "floyd_warshall",
+    "hop_counts",
     "Topology",
     "generate_topology",
 ]

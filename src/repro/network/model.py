@@ -4,18 +4,21 @@ The engine never routes per hop: a message from ``u`` to ``v`` simply
 arrives after the precomputed minimal-path end-to-end delay, as in the
 paper's simulation.  :class:`NetworkModel` bundles the topology and the
 routing tables and answers delay/hop queries between *logical* nodes
-(the source and the repositories).
+(the source and the repositories).  Hop counts are not part of the
+build: they are computed on first use and shared by every network
+rescaled from the same raw one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.network.delays import ParetoDelayModel
-from repro.network.routing import RoutingTables, build_routing
+from repro.network.routing import RoutingTables, build_routing, hop_counts
 from repro.network.topology import Topology, generate_topology
 
 __all__ = ["NetworkModel", "build_network"]
@@ -59,7 +62,7 @@ class NetworkModel:
 
     def hops(self, u: int, v: int) -> int:
         """Hop count along the minimal-delay path between ``u`` and ``v``."""
-        return int(self.routing.hops[u, v])
+        return int(self._hops[u, v])
 
     def mean_repo_delay_ms(self) -> float:
         """Average end-to-end delay between distinct logical nodes.
@@ -79,12 +82,20 @@ class NetworkModel:
     def mean_repo_hops(self) -> float:
         """Average hop count between distinct logical nodes."""
         ids = np.concatenate(([self.source], self.repository_ids))
-        sub = self.routing.hops[np.ix_(ids, ids)]
+        sub = self._hops[np.ix_(ids, ids)]
         n = len(ids)
         if n < 2:
             return 0.0
         mask = ~np.eye(n, dtype=bool)
         return float(sub[mask].mean())
+
+    @cached_property
+    def _hops(self) -> np.ndarray:
+        # Uniform scaling keeps every minimal path, so a rescaled network
+        # reuses its raw network's hop counts.
+        if self.raw is not None:
+            return self.raw._hops
+        return hop_counts(self.topology)
 
     def scaled_delays(self, mean_ms: float) -> "NetworkModel":
         """Return a copy with all link delays rescaled to a new mean.
@@ -127,11 +138,7 @@ class NetworkModel:
             edges=raw.topology.edges.copy(),
             delays_ms=raw.topology.delays_ms * factor,
         )
-        routing = RoutingTables(
-            dist_ms=raw.routing.dist_ms * factor,
-            hops=raw.routing.hops.copy(),
-            next_hop=raw.routing.next_hop.copy(),
-        )
+        routing = RoutingTables(dist_ms=raw.routing.dist_ms * factor)
         return NetworkModel(topology=topo, routing=routing, raw=raw)
 
 

@@ -4,14 +4,17 @@ The paper generates routing tables for every node with the Floyd-Warshall
 all-pairs shortest-path algorithm (Section 6.1, citing Cormen et al.).
 We implement Floyd-Warshall here with a numpy-blocked inner loop: the
 classic O(n^3) recurrence, with the k-loop in Python and the (i, j)
-relaxation vectorised, which is fast enough for the paper's 2100-node
-scalability case.
+relaxation vectorised into one preallocated buffer.
 
-Outputs:
+The build computes only what the engine reads:
 
-- ``dist_ms``: minimal end-to-end delay between every node pair,
-- ``hops``: hop count along those minimal-delay paths,
-- next-hop tables, reconstructable paths (for inspection/debugging).
+- ``dist_ms``: minimal end-to-end delay between every node pair.
+
+Hop counts along those paths are off the build path: :func:`hop_counts`
+computes them on demand, breaking exact delay ties toward fewer hops.
+That tie-break only fires where the candidate delay *equals* the current
+one, so it never moves a distance: the dist-only build is bit-identical
+to the lexicographic (delay, then hops) recurrence.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from repro.errors import TopologyError
 from repro.network.topology import Topology
 
-__all__ = ["RoutingTables", "floyd_warshall", "build_routing"]
+__all__ = ["RoutingTables", "floyd_warshall", "build_routing", "hop_counts"]
 
 _INF = np.inf
 
@@ -34,76 +37,41 @@ class RoutingTables:
 
     Attributes:
         dist_ms: (n, n) minimal path delay in milliseconds.
-        hops: (n, n) hop counts along the minimal-delay paths.
-        next_hop: (n, n) first hop on the minimal-delay path from i to j;
-            ``-1`` on the diagonal.
     """
 
     dist_ms: np.ndarray
-    hops: np.ndarray
-    next_hop: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return int(self.dist_ms.shape[0])
 
-    def path(self, src: int, dst: int) -> list[int]:
-        """Reconstruct the minimal-delay path as a node list (inclusive)."""
-        if src == dst:
-            return [src]
-        if not np.isfinite(self.dist_ms[src, dst]):
-            raise TopologyError(f"no path from {src} to {dst}")
-        path = [src]
-        node = src
-        guard = self.n_nodes + 1
-        while node != dst:
-            node = int(self.next_hop[node, dst])
-            path.append(node)
-            guard -= 1
-            if guard < 0:
-                raise TopologyError("routing table contains a loop (internal error)")
-        return path
 
-    def diameter_hops(self) -> int:
-        """Maximum hop count over all connected pairs."""
-        finite = self.hops[np.isfinite(self.dist_ms)]
-        return int(finite.max()) if finite.size else 0
-
-    def mean_hops(self) -> float:
-        """Mean hop count over distinct connected pairs."""
-        n = self.n_nodes
-        if n < 2:
-            return 0.0
-        mask = np.isfinite(self.dist_ms) & ~np.eye(n, dtype=bool)
-        return float(self.hops[mask].mean()) if mask.any() else 0.0
-
-
-def floyd_warshall(
-    dist: np.ndarray, hops: np.ndarray, next_hop: np.ndarray
-) -> None:
-    """Run the Floyd-Warshall recurrence in place.
+def floyd_warshall(dist: np.ndarray) -> None:
+    """Run the Floyd-Warshall distance recurrence in place.
 
     ``dist`` must be initialised with direct-link weights (inf where no
-    link, 0 on the diagonal); ``hops`` with 1 where a link exists; and
-    ``next_hop[i, j] = j`` where a link exists.  After the call the three
-    arrays describe minimal-delay paths.  Delay ties are broken toward
-    fewer hops, so hop counts are well defined.
+    link, 0 on the diagonal).  After the call it holds minimal path
+    delays.  Each step adds into one reused buffer, so the loop
+    allocates nothing per ``k``.
     """
-    n = dist.shape[0]
-    for k in range(n):
-        via_dist = dist[:, k, None] + dist[None, k, :]
-        via_hops = hops[:, k, None] + hops[None, k, :]
-        better = via_dist < dist
-        tie = (via_dist == dist) & (via_hops < hops)
-        update = better | tie
-        if not update.any():
-            continue
-        dist[update] = via_dist[update]
-        hops[update] = via_hops[update]
-        rows = np.nonzero(update.any(axis=1))[0]
-        for i in rows:
-            cols = update[i]
-            next_hop[i, cols] = next_hop[i, k]
+    via = np.empty_like(dist)
+    for k in range(dist.shape[0]):
+        np.add(dist[:, k, None], dist[None, k, :], out=via)
+        np.minimum(dist, via, out=dist)
+
+
+def _link_delays(topology: Topology) -> np.ndarray:
+    """Direct-link delay matrix: inf where no link, 0 on the diagonal.
+
+    A multi-edge keeps its cheapest link.
+    """
+    n = topology.n_nodes
+    dist = np.full((n, n), _INF)
+    np.fill_diagonal(dist, 0.0)
+    u, v = topology.edges[:, 0], topology.edges[:, 1]
+    np.minimum.at(dist, (u, v), topology.delays_ms)
+    np.minimum.at(dist, (v, u), topology.delays_ms)
+    return dist
 
 
 def build_routing(topology: Topology) -> RoutingTables:
@@ -112,24 +80,32 @@ def build_routing(topology: Topology) -> RoutingTables:
     Raises:
         TopologyError: if the topology is disconnected.
     """
-    n = topology.n_nodes
-    dist = np.full((n, n), _INF)
-    hops = np.full((n, n), _INF)
-    next_hop = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0.0)
-    np.fill_diagonal(hops, 0.0)
-
-    for (u, v), delay in zip(topology.edges, topology.delays_ms):
-        u, v = int(u), int(v)
-        # Keep the cheaper link if the generator produced a multi-edge.
-        if delay < dist[u, v]:
-            dist[u, v] = dist[v, u] = float(delay)
-            hops[u, v] = hops[v, u] = 1.0
-            next_hop[u, v] = v
-            next_hop[v, u] = u
-
-    floyd_warshall(dist, hops, next_hop)
-
+    dist = _link_delays(topology)
+    floyd_warshall(dist)
     if not np.isfinite(dist).all():
         raise TopologyError("topology is disconnected; routing undefined")
-    return RoutingTables(dist_ms=dist, hops=hops.astype(np.int64), next_hop=next_hop)
+    return RoutingTables(dist_ms=dist)
+
+
+def hop_counts(topology: Topology) -> np.ndarray:
+    """(n, n) hop counts along the minimal-delay paths of a topology.
+
+    Runs the lexicographic recurrence: minimal delay first, then fewer
+    hops among exactly equal delays, so hop counts are well defined.
+    The distances it passes through equal :func:`build_routing`'s.
+
+    Raises:
+        TopologyError: if the topology is disconnected.
+    """
+    dist = _link_delays(topology)
+    hops = np.where(np.isfinite(dist), 1.0, _INF)
+    np.fill_diagonal(hops, 0.0)
+    for k in range(dist.shape[0]):
+        via_dist = dist[:, k, None] + dist[None, k, :]
+        via_hops = hops[:, k, None] + hops[None, k, :]
+        update = (via_dist < dist) | ((via_dist == dist) & (via_hops < hops))
+        np.copyto(dist, via_dist, where=update)
+        np.copyto(hops, via_hops, where=update)
+    if not np.isfinite(hops).all():
+        raise TopologyError("topology is disconnected; hop counts undefined")
+    return hops.astype(np.int64)

@@ -10,7 +10,7 @@ import socket
 import pytest
 
 from repro.engine.churn import synthetic_schedule
-from repro.engine.config import SimulationConfig
+from repro.engine.config import SCALE_PRESETS, SimulationConfig
 from repro.errors import ConfigurationError
 from repro.fleet import run_fleet, run_fleet_loadgen
 from repro.live.harness import run_live
@@ -50,6 +50,18 @@ def test_fleet_matches_single_process_exactly():
     )
     assert result.extras["workers"] == 2
     assert sum(result.extras["shard_sizes"]) == CONFIG.n_repositories + 1
+
+
+def test_fleet_teardown_writes_no_traceback(capfd):
+    # Replayed far faster than it can deliver, so inbound handlers are
+    # still open (or closing) when each worker's event loop shuts down.
+    # Worker processes inherit the captured stderr descriptor.  The race
+    # does not hit every run, so three runs make a regression near-certain
+    # to show.
+    for _ in range(3):
+        result = run_fleet(SCALE_PRESETS["tiny"], workers=2, time_scale=1e5)
+        assert result.conserved
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_fleet_sever_reconnects_resyncs_and_conserves():
