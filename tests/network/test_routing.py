@@ -174,6 +174,54 @@ def test_hop_counts_match_networkx_dijkstra_path(topo):
             assert hops[s, t] == len(path) - 1
 
 
+def _link_weights(topology):
+    weight = {}
+    for (u, v), w in zip(topology.edges, topology.delays_ms):
+        u, v, w = int(u), int(v), float(w)
+        weight[(u, v)] = weight[(v, u)] = min(w, weight.get((u, v), np.inf))
+    return weight
+
+
+def _walk_path(dist, hops, weight, src, dst):
+    """Follow links that stay on a minimal-delay, minimal-hop route."""
+    path = [src]
+    while path[-1] != dst:
+        u = path[-1]
+        step = [
+            v
+            for (a, v), w in weight.items()
+            if a == u
+            and hops[v, dst] == hops[u, dst] - 1
+            and w + dist[v, dst] == pytest.approx(dist[u, dst])
+        ]
+        assert step, f"no minimal next hop from {u} toward {dst}"
+        path.append(step[0])
+    return path
+
+
+def test_path_reconstruction_matches_distance():
+    topo = generate_topology(
+        8, 20, np.random.default_rng(3), ParetoDelayModel()
+    )
+    routing = build_routing(topo)
+    hops = hop_counts(topo)
+    weight = _link_weights(topo)
+    for dst in (1, 5, topo.n_nodes - 1):
+        path = _walk_path(routing.dist_ms, hops, weight, 0, dst)
+        assert path[0] == 0 and path[-1] == dst
+        total = sum(weight[(a, b)] for a, b in zip(path, path[1:]))
+        assert total == pytest.approx(routing.dist_ms[0, dst])
+        assert len(path) - 1 == hops[0, dst]
+
+
+def test_path_to_self_is_single_node():
+    topo = small_topology()
+    routing = build_routing(topo)
+    hops = hop_counts(topo)
+    assert _walk_path(routing.dist_ms, hops, _link_weights(topo), 1, 1) == [1]
+    assert routing.dist_ms[1, 1] == 0.0 and hops[1, 1] == 0
+
+
 def test_hops_break_delay_ties_minimally():
     # Two equal-delay routes 0->2: direct (1 hop, 2ms) vs via 1 (2 hops, 2ms).
     edges = np.array([[0, 1], [1, 2], [0, 2]])
