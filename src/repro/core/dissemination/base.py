@@ -19,7 +19,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-__all__ = ["ForwardDecision", "SourceDecision", "DisseminationPolicy"]
+__all__ = [
+    "ForwardDecision",
+    "FORWARD",
+    "HOLD",
+    "SourceDecision",
+    "DisseminationPolicy",
+]
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,12 @@ class ForwardDecision:
 
     forward: bool
     checks: int = 1
+
+
+#: The two one-check outcomes.  Decisions are immutable, so policies
+#: return these shared instances instead of building one per check.
+FORWARD = ForwardDecision(forward=True)
+HOLD = ForwardDecision(forward=False)
 
 
 class DisseminationPolicy(ABC):

@@ -25,6 +25,8 @@ from __future__ import annotations
 from repro.errors import DisseminationError
 from repro.core.dissemination.base import (
     DisseminationPolicy,
+    FORWARD,
+    HOLD,
     ForwardDecision,
     SourceDecision,
 )
@@ -46,27 +48,38 @@ class CentralizedPolicy(DisseminationPolicy):
     def __init__(self) -> None:
         self._tagger = SourceTagger()
         self._edge_c: dict[tuple[int, int, int], float] = {}
+        # (item, quantised c) -> number of registered edges serving the
+        # item at c.  The source tracks tolerances that exist *anywhere*
+        # in the network, so a tolerance leaves its list only when its
+        # last edge goes.
+        self._c_refs: dict[tuple[int, float], int] = {}
 
     def register_edge(
         self, parent: int, child: int, item_id: int, c_serve: float, initial_value: float
     ) -> None:
         c = quantise_tolerance(c_serve)
-        self._edge_c[(parent, child, item_id)] = c
+        key = (parent, child, item_id)
+        old = self._edge_c.get(key)
+        if old == c:
+            return
+        if old is not None:
+            self._release(item_id, old)
+        self._edge_c[key] = c
+        self._c_refs[(item_id, c)] = self._c_refs.get((item_id, c), 0) + 1
         self._tagger.add_tolerance(item_id, c, initial_value)
 
     def unregister_edge(self, parent: int, child: int, item_id: int) -> None:
         c = self._edge_c.pop((parent, child, item_id), None)
-        if c is None:
-            return
-        # Drop the tolerance from the source's unique list only when no
-        # remaining edge for the item still serves at it -- the source
-        # tracks tolerances that exist *anywhere* in the network.
-        still_served = any(
-            cc == c
-            for (_p, _ch, it), cc in self._edge_c.items()
-            if it == item_id
-        )
-        if not still_served:
+        if c is not None:
+            self._release(item_id, c)
+
+    def _release(self, item_id: int, c: float) -> None:
+        """Drop one edge's reference to ``(item_id, c)``."""
+        refs = self._c_refs[(item_id, c)] - 1
+        if refs:
+            self._c_refs[(item_id, c)] = refs
+        else:
+            del self._c_refs[(item_id, c)]
             self._tagger.remove_tolerance(item_id, c)
 
     def unique_tolerances(self, item_id: int) -> list[float]:
@@ -95,4 +108,4 @@ class CentralizedPolicy(DisseminationPolicy):
             raise DisseminationError(
                 f"edge {parent}->{child} for item {item_id} was never registered"
             ) from None
-        return ForwardDecision(forward=forward_centralized(c_serve, tag))
+        return FORWARD if forward_centralized(c_serve, tag) else HOLD

@@ -23,6 +23,8 @@ from __future__ import annotations
 from repro.errors import DisseminationError
 from repro.core.dissemination.base import (
     DisseminationPolicy,
+    FORWARD,
+    HOLD,
     ForwardDecision,
     SourceDecision,
 )
@@ -85,4 +87,4 @@ class DistributedPolicy(DisseminationPolicy):
         )
         if forward:
             self._last_sent[key] = value
-        return ForwardDecision(forward=forward)
+        return FORWARD if forward else HOLD

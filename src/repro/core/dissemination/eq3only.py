@@ -14,6 +14,8 @@ from __future__ import annotations
 from repro.errors import DisseminationError
 from repro.core.dissemination.base import (
     DisseminationPolicy,
+    FORWARD,
+    HOLD,
     ForwardDecision,
     SourceDecision,
 )
@@ -65,4 +67,4 @@ class Eq3OnlyPolicy(DisseminationPolicy):
         forward = forward_eq3_only(value, last_sent, self._c_serve[key])
         if forward:
             self._last_sent[key] = value
-        return ForwardDecision(forward=forward)
+        return FORWARD if forward else HOLD

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from repro.core.dissemination.base import (
     DisseminationPolicy,
+    FORWARD,
+    HOLD,
     ForwardDecision,
     SourceDecision,
 )
@@ -57,6 +59,6 @@ class FloodingPolicy(DisseminationPolicy):
         # Identical consecutive values carry no information even for
         # flooding (the paper's traces are *changes*); skip pure repeats.
         if not forward_flooding(value, self._last_value.get(key)):
-            return ForwardDecision(forward=False)
+            return HOLD
         self._last_value[key] = value
-        return ForwardDecision(forward=True)
+        return FORWARD

@@ -160,22 +160,12 @@ class DynamicMembership:
         """
         self.graph.validate(max_dependents=self._budgets())
 
-    def join(self, profile: InterestProfile, validate: bool = True) -> ReconfigurationDiff:
-        """Add a repository incrementally (LeLA insertion).
+    def _require_new(self, repo: int) -> None:
+        if repo in self._profiles:
+            raise TreeConstructionError(f"repository {repo} already joined")
 
-        Args:
-            profile: The newcomer's interests.
-            validate: Check all graph invariants after the insertion.
-                Bulk replays (rebuilding a known-good membership) may
-                pass ``False`` and call :meth:`validate` once at the
-                end; validation is a check only, never a mutation, so
-                skipping it cannot change the constructed graph.
-        """
-        if profile.repository in self._profiles:
-            raise TreeConstructionError(
-                f"repository {profile.repository} already joined"
-            )
-        before = _edges_of(self.graph)
+    def _insert(self, profile: InterestProfile) -> None:
+        """LeLA-insert a checked newcomer into the live graph."""
         self._profiles[profile.repository] = profile
         self._join_order.append(profile.repository)
         # Incremental: insert into the live graph with updated budgets.
@@ -189,20 +179,46 @@ class DynamicMembership:
         )
         builder.graph = self.graph
         builder.insert(profile)
-        if validate:
-            self.validate()
-        after = _edges_of(self.graph)
+
+    def insert(self, profile: InterestProfile) -> None:
+        """Add a repository exactly as :meth:`join` does, without the diff
+        and without validating.
+
+        For bulk replays of a known-good membership: the caller calls
+        :meth:`validate` once at the end.  Validation is a check only,
+        never a mutation, so skipping it per insert cannot change the
+        constructed graph.
+
+        Raises:
+            TreeConstructionError: if the repository already joined.
+        """
+        self._require_new(profile.repository)
+        self._insert(profile)
+
+    def join(self, profile: InterestProfile) -> ReconfigurationDiff:
+        """Add a repository incrementally (LeLA insertion), validate the
+        graph, and return the edge-level diff.
+
+        Raises:
+            TreeConstructionError: if the repository already joined, or
+                on the first violated graph invariant.
+        """
+        self._require_new(profile.repository)
+        before = edges_of(self.graph)
+        self._insert(profile)
+        self.validate()
+        after = edges_of(self.graph)
         return ReconfigurationDiff(added=after - before, removed=before - after)
 
     def leave(self, repo: int) -> ReconfigurationDiff:
         """Remove a repository; the algorithm is reapplied (rebuild)."""
         if repo not in self._profiles:
             raise TreeConstructionError(f"repository {repo} is not a member")
-        before = _edges_of(self.graph)
+        before = edges_of(self.graph)
         del self._profiles[repo]
         self._join_order.remove(repo)
         self.graph = self._rebuild()
-        after = _edges_of(self.graph)
+        after = edges_of(self.graph)
         return ReconfigurationDiff(added=after - before, removed=before - after)
 
     def update_requirements(self, profile: InterestProfile) -> ReconfigurationDiff:
@@ -211,8 +227,8 @@ class DynamicMembership:
             raise TreeConstructionError(
                 f"repository {profile.repository} is not a member"
             )
-        before = _edges_of(self.graph)
+        before = edges_of(self.graph)
         self._profiles[profile.repository] = profile
         self.graph = self._rebuild()
-        after = _edges_of(self.graph)
+        after = edges_of(self.graph)
         return ReconfigurationDiff(added=after - before, removed=before - after)

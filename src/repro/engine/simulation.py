@@ -130,6 +130,9 @@ class DisseminationSimulation:
         # Per (node, item): list of (child, c_serve); precomputed for speed.
         self._children: dict[tuple[int, int], list[tuple[int, float]]] = {}
         self._receive_c: dict[tuple[int, int], float] = {}
+        # Per (node, child): end-to-end delay in seconds, memoised on
+        # first forward (the network is fixed for the run).
+        self._edge_delay_s: dict[tuple[int, int], float] = {}
         # Per (repo, item): delivery log [(time, value), ...].
         self._deliveries: dict[tuple[int, int], list[tuple[float, float]]] = {}
         # Per (repo, item): fidelity-scoring segments (see _Segment).
@@ -233,23 +236,23 @@ class DisseminationSimulation:
         update_id: int = -1,
         src: int = -1,
     ) -> None:
+        now = self.kernel.now
         if node in self._departed or node in self._crashed:
             # The sender paid for the message, but the repository left
             # (or crashed) while it was in flight: a drop.
             self.counters.record_drop()
             if self.observer is not None:
                 reason = "departed" if node in self._departed else "crash"
-                self.observer.on_drop(
-                    update_id, item_id, self.kernel.now, src, node, reason
-                )
+                self.observer.on_drop(update_id, item_id, now, src, node, reason)
             return
         self.counters.record_delivery()
         if self.observer is not None:
-            self.observer.on_deliver(update_id, item_id, self.kernel.now, node)
+            self.observer.on_deliver(update_id, item_id, now, node)
         log = self._deliveries.get((node, item_id))
         if log is not None:
-            log.append((self.kernel.now, value))
-        self._serve_clients(node, item_id, value)
+            log.append((now, value))
+        if self._client_tols:
+            self._serve_clients(node, item_id, value)
         self._process_at_node(node, item_id, value, tag, update_id)
 
     def _serve_clients(self, node: int, item_id: int, value: float) -> None:
@@ -288,12 +291,21 @@ class DisseminationSimulation:
         is_source = node == self._root_of[item_id]
         parent_receive_c = 0.0 if is_source else self._receive_c[(node, item_id)]
         station = self._stations[node]
+        comp_delay_s = self._comp_delay_s
         observer = self.observer
+        decide = self.policy.decide
+        edge_delay_s = self._edge_delay_s
+        down_links = self._down_links
+        loss_rng = self._loss_rng
+        schedule_at = self.kernel.schedule_at
+        on_delivery = self._on_delivery
+        # Checks and forwarded messages are summed here and counted once
+        # per call: integer sums, so the counters come out identical.
+        checks = 0
+        forwarded = 0
         for child, _c_serve in children:
-            decision = self.policy.decide(
-                node, child, item_id, value, parent_receive_c, tag
-            )
-            self.counters.record_check(node, is_source=is_source, count=decision.checks)
+            decision = decide(node, child, item_id, value, parent_receive_c, tag)
+            checks += decision.checks
             if observer is not None:
                 observer.on_check(
                     update_id, item_id, now, node, child,
@@ -301,12 +313,17 @@ class DisseminationSimulation:
                 )
             if not decision.forward:
                 continue
-            departure = station.submit(now, self._comp_delay_s)
-            arrival = departure + self.setup.network.delay_s(node, child)
-            self.counters.record_message(node, is_source=is_source)
+            departure = station.submit(now, comp_delay_s)
+            delay = edge_delay_s.get((node, child))
+            if delay is None:
+                delay = edge_delay_s[(node, child)] = self.setup.network.delay_s(
+                    node, child
+                )
+            arrival = departure + delay
+            forwarded += 1
             if observer is not None:
                 observer.on_forward(update_id, item_id, now, node, child, arrival - now)
-            if self._down_links and (node, child) in self._down_links:
+            if down_links and (node, child) in down_links:
                 # Partition: the sender paid (queueing included) but the
                 # link ate the message.  Decided before the Bernoulli
                 # loss draw, so the loss stream is only consumed for
@@ -315,10 +332,7 @@ class DisseminationSimulation:
                 if observer is not None:
                     observer.on_drop(update_id, item_id, now, node, child, "partition")
                 continue
-            if (
-                self._loss_rng is not None
-                and self._loss_rng.random() < self._loss_probability
-            ):
+            if loss_rng is not None and loss_rng.random() < self._loss_probability:
                 # Failure injection: the sender paid for the message but
                 # the network ate it; the child stays stale until the
                 # next update for it is forwarded.
@@ -326,9 +340,10 @@ class DisseminationSimulation:
                 if observer is not None:
                     observer.on_drop(update_id, item_id, now, node, child, "loss")
                 continue
-            self.kernel.schedule_at(
-                arrival, self._on_delivery, child, item_id, value, tag, update_id, node
-            )
+            schedule_at(arrival, on_delivery, child, item_id, value, tag, update_id, node)
+        self.counters.record_check(node, is_source=is_source, count=checks)
+        if forwarded:
+            self.counters.record_message(node, is_source=is_source, count=forwarded)
 
     # ------------------------------------------------------------------
     # Churn execution

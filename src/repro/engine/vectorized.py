@@ -23,7 +23,9 @@ handful of numpy calls over *all* dependents of an edge group at once:
   sequential accumulation reproduces the scalar chain bit for bit.
 - **Events.**  A :class:`~repro.sim.kernel.BatchKernel` merges the
   precomputed source timeline with a tuple heap of in-flight
-  deliveries -- no per-message Event objects, no callback dispatch.
+  deliveries.  Both kernels keep plain tuples on their heaps; this one
+  also skips the scalar kernel's per-event callback dispatch and never
+  pushes the source updates at all.
 - **Counters.**  :class:`~repro.core.metrics.ArrayCounters` accumulates
   per-node tallies in dense arrays, folded into
   :class:`~repro.core.metrics.CostCounters` once at the end.

@@ -3,9 +3,9 @@
 This subpackage is the substrate every experiment in the reproduction
 runs on.  It provides:
 
-- :mod:`repro.sim.events` -- a stable, heap-backed event queue.
-- :mod:`repro.sim.kernel` -- the :class:`~repro.sim.kernel.Simulator`
-  driving callbacks in simulated-time order, and the object-free
+- :mod:`repro.sim.kernel` -- the tuple-heap
+  :class:`~repro.sim.kernel.Simulator` driving callbacks in
+  simulated-time order, and the callback-free
   :class:`~repro.sim.kernel.BatchKernel` behind the vectorized engine.
 - :mod:`repro.sim.queueing` -- single-server FIFO stations used to model
   the serialised per-dependent computational delay at repositories.
@@ -13,14 +13,11 @@ runs on.  It provides:
   experiment is reproducible.
 """
 
-from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import BatchKernel, Simulator
 from repro.sim.queueing import FifoStation
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "Simulator",
     "BatchKernel",
     "FifoStation",

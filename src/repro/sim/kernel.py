@@ -1,21 +1,22 @@
 """The discrete-event simulators.
 
-A :class:`Simulator` owns a clock and an :class:`~repro.sim.events.EventQueue`
-and runs callbacks in simulated-time order.  It is deliberately minimal:
-the dissemination engine in :mod:`repro.engine.simulation` schedules plain
-callbacks rather than using coroutine processes, which keeps the hot loop
-fast enough for the paper-scale experiments.
+A :class:`Simulator` owns a clock and a plain tuple heap and runs
+callbacks in simulated-time order.  It is deliberately minimal: the
+dissemination engine in :mod:`repro.engine.simulation` schedules plain
+callbacks rather than using coroutine processes, and each heap entry is
+the tuple ``(time, seq, callback, args)`` -- no per-event object, no
+Python-level comparison -- which keeps the hot loop fast enough for the
+paper-scale experiments.
 
 :class:`BatchKernel` is the array-era sibling used by the vectorized
-engine (:mod:`repro.engine.vectorized`): instead of allocating one
-:class:`~repro.sim.events.Event` object and one callback dispatch per
-message, it merges a *pre-sorted static schedule* (every source update
-of the run, known up front as numpy arrays) with a plain tuple heap of
-in-flight deliveries.  Same-timestamp cohorts drain in FIFO scheduling
-order -- all static events at time ``t`` fire before any delivery at
-``t`` (they were scheduled first), and deliveries fire in push order --
-which reproduces the scalar kernel's ``(time, seq)`` tie-breaking
-exactly.
+engine (:mod:`repro.engine.vectorized`): instead of one callback
+dispatch per message, it merges a *pre-sorted static schedule* (every
+source update of the run, known up front as numpy arrays) with a tuple
+heap of in-flight deliveries.  Same-timestamp cohorts drain in FIFO
+scheduling order -- all static events at time ``t`` fire before any
+delivery at ``t`` (they were scheduled first), and deliveries fire in
+push order -- which reproduces the scalar kernel's ``(time, seq)``
+tie-breaking exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue
 
 __all__ = ["Simulator", "BatchKernel"]
 
@@ -35,10 +35,20 @@ class Simulator:
     """Runs events in non-decreasing simulated-time order.
 
     The clock only moves when events fire; it never runs backwards.
+
+    Each pending event is one heap entry ``(time, seq, callback, args)``.
+    ``seq`` is a per-simulator counter, unique per entry, so the tuple
+    order is total on ``(time, seq)`` and comparison never reaches the
+    callback: same-instant events fire in scheduling (FIFO) order.  The
+    ``seq`` doubles as the handle :meth:`schedule` returns;
+    :meth:`cancel` adds it to a set and :meth:`run` drops the entry when
+    it surfaces (lazy deletion).
     """
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
+        self._seq = 0
+        self._cancelled: set[int] = set()
         self._now = 0.0
         self._events_processed = 0
         self._running = False
@@ -56,33 +66,58 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live events still scheduled."""
-        return len(self._queue)
+        return len(self._heap) - len(self._cancelled)
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> int:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
+
+        Returns:
+            The event's handle, for :meth:`cancel`.
 
         Raises:
             SimulationError: if ``delay`` is negative or NaN.
         """
         if delay != delay or delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        return self._queue.push(self._now + delay, callback, *args)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (self._now + delay, seq, callback, args))
+        return seq
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> int:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
+        Returns:
+            The event's handle, for :meth:`cancel`.
+
         Raises:
-            SimulationError: if ``time`` is in the simulated past.
+            SimulationError: if ``time`` is NaN or in the simulated past
+                (which includes every negative time).
         """
+        if time != time:
+            raise SimulationError("cannot schedule an event at NaN time")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}: clock is already at {self._now!r}"
             )
-        return self._queue.push(time, callback, *args)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, callback, args))
+        return seq
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (idempotent)."""
-        self._queue.cancel(event)
+    def cancel(self, handle: int) -> None:
+        """Cancel a scheduled event (idempotent).
+
+        A handle whose event already fired, or was cleared by
+        :meth:`reset`, is ignored.  Costs one scan of the pending
+        entries; no hot path cancels.
+        """
+        if handle in self._cancelled:
+            return
+        for entry in self._heap:
+            if entry[1] == handle:
+                self._cancelled.add(handle)
+                return
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains, ``until`` passes, or a budget.
@@ -102,30 +137,39 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
-        executed = 0
+        heap = self._heap
+        cancelled = self._cancelled
+        heappop = heapq.heappop
+        horizon = float("inf") if until is None else until
+        start = self._events_processed
+        limit = float("inf") if max_events is None else start + max_events
         try:
-            while self._queue:
-                next_time = self._queue.peek_time()
-                if until is not None and next_time > until:
+            while heap:
+                time, seq, callback, args = heap[0]
+                if cancelled and seq in cancelled:
+                    heappop(heap)
+                    cancelled.discard(seq)
+                    continue
+                if time > horizon:
                     self._now = max(self._now, until)
                     break
-                if max_events is not None and executed >= max_events:
+                if self._events_processed >= limit:
                     break
-                event = self._queue.pop()
-                self._now = event.time
-                event.callback(*event.args)
-                executed += 1
+                heappop(heap)
+                self._now = time
+                callback(*args)
                 self._events_processed += 1
             else:
                 if until is not None:
                     self._now = max(self._now, until)
         finally:
             self._running = False
-        return executed
+        return self._events_processed - start
 
     def reset(self) -> None:
         """Clear all pending events and rewind the clock to zero."""
-        self._queue.clear()
+        self._heap.clear()
+        self._cancelled.clear()
         self._now = 0.0
         self._events_processed = 0
 

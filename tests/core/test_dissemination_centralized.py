@@ -94,3 +94,42 @@ def test_float_noise_in_tolerances_collapses():
     policy.register_edge(0, 1, 7, 0.1, 1.0)
     policy.register_edge(0, 2, 7, 0.1 + 1e-12, 1.0)
     assert len(policy.unique_tolerances(7)) == 1
+
+
+def test_unregister_keeps_tolerance_until_last_edge_goes():
+    policy = make_policy()
+    policy.register_edge(1, 4, 7, 0.3, 1.0)  # second edge at 0.3
+    policy.unregister_edge(0, 2, 7)
+    assert policy.unique_tolerances(7) == [0.1, 0.3, 0.5]
+    policy.unregister_edge(1, 4, 7)
+    assert policy.unique_tolerances(7) == [0.1, 0.5]
+    assert policy.at_source(7, 1.2).checks == 2
+
+
+def test_reregister_edge_at_new_tolerance_moves_its_reference():
+    policy = make_policy()
+    policy.register_edge(0, 2, 7, 0.2, 1.0)  # 0.3 loses its only edge
+    assert policy.unique_tolerances(7) == [0.1, 0.2, 0.5]
+    policy.register_edge(0, 2, 7, 0.2, 1.0)  # same tolerance: no-op
+    policy.unregister_edge(0, 2, 7)
+    assert policy.unique_tolerances(7) == [0.1, 0.5]
+
+
+def test_reregister_keeps_tolerance_shared_with_another_edge():
+    policy = make_policy()
+    policy.register_edge(1, 4, 7, 0.3, 1.0)
+    policy.register_edge(0, 2, 7, 0.5, 1.0)
+    assert policy.unique_tolerances(7) == [0.1, 0.3, 0.5]
+    policy.unregister_edge(2, 3, 7)
+    assert policy.unique_tolerances(7) == [0.1, 0.3, 0.5]
+    policy.unregister_edge(0, 2, 7)
+    assert policy.unique_tolerances(7) == [0.1, 0.3]
+
+
+def test_unregister_unknown_edge_is_a_noop():
+    policy = make_policy()
+    policy.unregister_edge(5, 6, 7)
+    policy.unregister_edge(0, 1, 99)
+    policy.unregister_edge(0, 1, 7)
+    policy.unregister_edge(0, 1, 7)
+    assert policy.unique_tolerances(7) == [0.3, 0.5]

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core.fidelity import violation_time
-from repro.sim.events import EventQueue
+from repro.sim.kernel import Simulator
 from repro.sim.queueing import FifoStation
 
 
@@ -20,16 +20,17 @@ from repro.sim.queueing import FifoStation
 )
 @settings(max_examples=200, deadline=None)
 def test_event_queue_pops_sorted_and_stable(times):
-    q = EventQueue()
+    sim = Simulator()
+    fired = []
     for i, t in enumerate(times):
-        q.push(t, lambda: None, i)
-    popped = [q.pop() for _ in range(len(times))]
+        sim.schedule_at(t, lambda label: fired.append((sim.now, label)), i)
+    assert sim.run() == len(times)
     # Sorted by time...
-    assert all(a.time <= b.time for a, b in zip(popped, popped[1:]))
+    assert all(a[0] <= b[0] for a, b in zip(fired, fired[1:]))
     # ...and stable within equal times.
-    for a, b in zip(popped, popped[1:]):
-        if a.time == b.time:
-            assert a.seq < b.seq
+    for a, b in zip(fired, fired[1:]):
+        if a[0] == b[0]:
+            assert a[1] < b[1]
 
 
 @given(
